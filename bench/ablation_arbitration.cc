@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "campaign/parallel_for.hh"
-#include "common.hh"
+#include "campaign/runner.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "stats/report.hh"
@@ -64,7 +64,7 @@ main()
 {
     using namespace corona;
 
-    const std::size_t threads = bench::sweepThreads();
+    const std::size_t threads = campaign::resolveWorkerThreads(0);
 
     // (a) Uncontested worst-case token wait across all requesters.
     std::vector<double> wait_clocks(64, 0.0);

@@ -15,7 +15,6 @@
 
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
-#include "common.hh"
 #include "sim/logging.hh"
 #include "stats/report.hh"
 #include "workload/splash.hh"
@@ -56,7 +55,7 @@ main()
 
     campaign::MemorySink sink;
     campaign::RunnerOptions options;
-    options.threads = bench::sweepThreads();
+    options.threads = campaign::resolveWorkerThreads(0);
     campaign::CampaignRunner runner(options);
     runner.addSink(sink);
     runner.run(spec);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "campaign/parallel_for.hh"
-#include "common.hh"
+#include "campaign/runner.hh"
 #include "memory/conventional_dram.hh"
 #include "memory/dram.hh"
 #include "sim/rng.hh"
@@ -25,16 +25,16 @@ main()
     using memory::ConventionalDram;
     using memory::DramModule;
 
+    const std::size_t threads = campaign::resolveWorkerThreads(0);
+
     // Closed-form comparison across row-buffer hit rates, swept on
     // the campaign engine's worker pool (rows printed in sweep order).
     constexpr double kHitRates[] = {0.9, 0.5, 0.2, 0.05, 0.0};
     constexpr std::size_t kCells = std::size(kHitRates);
     std::vector<memory::DramEnergyComparison> comparisons(kCells);
-    campaign::parallelFor(kCells, bench::sweepThreads(),
-                          [&](std::size_t i) {
-                              comparisons[i] =
-                                  memory::compareDramEnergy(kHitRates[i]);
-                          });
+    campaign::parallelFor(kCells, threads, [&](std::size_t i) {
+        comparisons[i] = memory::compareDramEnergy(kHitRates[i]);
+    });
 
     stats::TableWriter closed(
         "Energy per 64 B line vs row-buffer locality (closed form)");
@@ -59,7 +59,7 @@ main()
     ConventionalDram conventional;
     DramModule corona_dram;
     const int accesses = 200'000;
-    campaign::parallelFor(2, bench::sweepThreads(), [&](std::size_t m) {
+    campaign::parallelFor(2, threads, [&](std::size_t m) {
         sim::Rng rng(11);
         sim::Tick now = 0;
         for (int i = 0; i < accesses; ++i) {

@@ -13,7 +13,6 @@
 
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
-#include "common.hh"
 #include "sim/logging.hh"
 #include "stats/report.hh"
 

@@ -15,6 +15,10 @@
 #      worker processes (corona-launch --worker, each loading the
 #      spec file) and --verify asserts merged sink bytes equal an
 #      un-sharded in-process run.
+#   5. corona-stats figure renders Figures 8-11 from a small paper-grid
+#      CSV, and fails with a clean fatal error (exit 1, "corona-stats:"
+#      message) on a malformed row or on a grid that is not the paper
+#      grid.
 #
 # Usage: scripts/scenario_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -79,5 +83,45 @@ cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
   exit 1
 }
 
+# ---- 5. Figures 8-11 from the paper grid's per-run CSV, at a small
+# budget (the shape of campaign::paperScenario(300)).
+printf '%s\n' '[scenario]' 'name = paper-sweep' 'requests = 300' \
+  'warmup_requests = 60' 'seed_policy = fixed' \
+  '[workloads]' 'workload = all' '[configs]' 'config = paper' \
+  > "${DIR}/paper.scenario"
+CORONA_SWEEP_CSV="${DIR}/paper.csv" \
+  "${BUILD}/corona-run" --quiet --no-table "${DIR}/paper.scenario"
+for n in 8 9 10 11; do
+  "${BUILD}/corona-stats" figure "${n}" "${DIR}/paper.csv" \
+    > "${DIR}/fig${n}.txt"
+  grep -q "^== Figure ${n}: " "${DIR}/fig${n}.txt" &&
+    grep -q "^Water-Sp " "${DIR}/fig${n}.txt" || {
+      echo "scenario smoke: figure ${n} table is incomplete" >&2
+      exit 1
+    }
+done
+
+# A figure input that must be refused: exit status 1 with a one-line
+# "corona-stats: <path>..." diagnostic (not a crash, not a table).
+expect_figure_error() {
+  local what="$1" csv="$2"
+  local status=0
+  "${BUILD}/corona-stats" figure 9 "${csv}" > "${DIR}/bad.out" \
+    2> "${DIR}/bad.err" || status=$?
+  if [ "${status}" -ne 1 ] || [ -s "${DIR}/bad.out" ] ||
+     ! grep -q "^corona-stats: ${csv}" "${DIR}/bad.err"; then
+    echo "scenario smoke: figure on ${what} exited ${status}" \
+         "without a clean fatal error:" >&2
+    cat "${DIR}/bad.err" >&2
+    exit 1
+  fi
+}
+sed '5s/,ok,,/,ok,,x/' "${DIR}/paper.csv" > "${DIR}/malformed.csv"
+expect_figure_error "a malformed row" "${DIR}/malformed.csv"
+grep -v ',XBar/OCM,' "${DIR}/paper.csv" > "${DIR}/no-xbar.csv"
+expect_figure_error "a grid without the XBar/OCM column" \
+  "${DIR}/no-xbar.csv"
+
 echo "scenario smoke: OK (print fixed point, deterministic bytes," \
-     "shard/merge parity, scenario-worker launch verified)"
+     "shard/merge parity, scenario-worker launch verified," \
+     "figures 8-11 rendered, bad figure inputs refused)"

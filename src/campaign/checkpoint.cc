@@ -69,19 +69,8 @@ toHex(std::uint64_t value)
     return hex;
 }
 
-template <typename T>
-std::optional<T>
-parseNumber(const std::string &text)
-{
-    T value{};
-    const auto res = std::from_chars(text.data(),
-                                     text.data() + text.size(), value);
-    if (res.ec != std::errc{} || res.ptr != text.data() + text.size())
-        return std::nullopt;
-    return value;
-}
+} // namespace
 
-/** Decode one CsvSink-schema row; nullopt on any malformed field. */
 std::optional<RunRecord>
 parseRecordRow(const std::string &line)
 {
@@ -93,20 +82,20 @@ parseRecordRow(const std::string &line)
     RunRecord record;
     core::RunMetrics &m = record.metrics;
 
-    const auto index = parseNumber<std::size_t>(f[0]);
-    const auto seed = parseNumber<std::uint64_t>(f[4]);
-    const auto requests_issued = parseNumber<std::uint64_t>(f[7]);
-    const auto requests_coalesced = parseNumber<std::uint64_t>(f[8]);
-    const auto elapsed = parseNumber<std::uint64_t>(f[9]);
-    const auto avg_latency = parseNumber<double>(f[10]);
-    const auto p95_latency = parseNumber<double>(f[11]);
-    const auto achieved = parseNumber<double>(f[12]);
-    const auto offered = parseNumber<double>(f[13]);
-    const auto power = parseNumber<double>(f[14]);
-    const auto token_wait = parseNumber<double>(f[15]);
-    const auto hops = parseNumber<std::uint64_t>(f[16]);
-    const auto mshr = parseNumber<std::uint64_t>(f[17]);
-    const auto peak_queue = parseNumber<std::size_t>(f[18]);
+    const auto index = parseCsvNumber<std::size_t>(f[0]);
+    const auto seed = parseCsvNumber<std::uint64_t>(f[4]);
+    const auto requests_issued = parseCsvNumber<std::uint64_t>(f[7]);
+    const auto requests_coalesced = parseCsvNumber<std::uint64_t>(f[8]);
+    const auto elapsed = parseCsvNumber<std::uint64_t>(f[9]);
+    const auto avg_latency = parseCsvNumber<double>(f[10]);
+    const auto p95_latency = parseCsvNumber<double>(f[11]);
+    const auto achieved = parseCsvNumber<double>(f[12]);
+    const auto offered = parseCsvNumber<double>(f[13]);
+    const auto power = parseCsvNumber<double>(f[14]);
+    const auto token_wait = parseCsvNumber<double>(f[15]);
+    const auto hops = parseCsvNumber<std::uint64_t>(f[16]);
+    const auto mshr = parseCsvNumber<std::uint64_t>(f[17]);
+    const auto peak_queue = parseCsvNumber<std::size_t>(f[18]);
     if (!index || !seed || !requests_issued || !requests_coalesced ||
         !elapsed || !avg_latency || !p95_latency || !achieved ||
         !offered || !power || !token_wait || !hops || !mshr ||
@@ -138,6 +127,8 @@ parseRecordRow(const std::string &line)
     m.peak_mc_queue = *peak_queue;
     return record;
 }
+
+namespace {
 
 std::string
 headerLine(std::uint64_t fingerprint, std::size_t total_runs)
@@ -201,7 +192,7 @@ parseHeaderLine(const std::string &line)
     const auto res = std::from_chars(hex.data(),
                                      hex.data() + hex.size(),
                                      fingerprint, 16);
-    const auto total = parseNumber<std::size_t>(*total_text);
+    const auto total = parseCsvNumber<std::size_t>(*total_text);
     if (res.ec != std::errc{} || res.ptr != hex.data() + hex.size() ||
         !total)
         return std::nullopt;

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -39,6 +40,13 @@ namespace corona::campaign {
  * behaviour, not labels, collide, so name axes meaningfully.
  */
 std::uint64_t specFingerprint(const CampaignSpec &spec);
+
+/**
+ * Decode one CsvSink-schema row (the inverse of csvRow); nullopt on a
+ * wrong field count, bad quoting, or any malformed field. Axis indices
+ * are left at zero: only the spec knows the grid shape.
+ */
+std::optional<RunRecord> parseRecordRow(const std::string &line);
 
 /** A parsed checkpoint file. */
 struct CheckpointData
@@ -122,7 +130,7 @@ class CheckpointWriter : public ResultSink
  * records a previous session left there (compacting torn trailing
  * bytes via rewrite-and-rename so appending stays safe), then expose a
  * CheckpointWriter positioned to append this session's fresh rows.
- * Shared by bench::runSweep ($CORONA_CHECKPOINT) and the shard
+ * Shared by the scenario front end ($CORONA_CHECKPOINT) and the shard
  * launcher's workers.
  */
 class CheckpointFile

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
 
+#include "campaign/sink.hh"
 #include "obs/registry.hh"
 #include "sim/logging.hh"
 
@@ -18,43 +18,23 @@ namespace {
 constexpr const char *rollupMagic = "corona-rollup-v1";
 
 std::vector<std::string>
-splitCsv(const std::string &line)
+splitRow(const std::string &line, const std::string &what)
 {
-    std::vector<std::string> fields;
-    std::size_t at = 0;
-    while (true) {
-        const std::size_t comma = line.find(',', at);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(at));
-            return fields;
-        }
-        fields.push_back(line.substr(at, comma - at));
-        at = comma + 1;
-    }
+    auto fields = splitCsvRow(line);
+    if (!fields)
+        sim::fatal(what + ": bad quoting in rollup row: " + line);
+    return std::move(*fields);
 }
 
-std::uint64_t
-parseIndex(const std::string &field, const std::string &what)
+template <typename T>
+T
+parseField(const std::string &field, const std::string &what)
 {
-    if (field.empty())
-        sim::fatal(what + ": empty index field in rollup");
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size())
-        sim::fatal(what + ": bad index field in rollup: " + field);
-    return value;
-}
-
-double
-parseValue(const std::string &field, const std::string &what)
-{
-    if (field.empty())
-        sim::fatal(what + ": empty value field in rollup");
-    char *end = nullptr;
-    const double value = std::strtod(field.c_str(), &end);
-    if (end != field.c_str() + field.size())
-        sim::fatal(what + ": bad value field in rollup: " + field);
-    return value;
+    const auto value = parseCsvNumber<T>(field);
+    if (!value)
+        sim::fatal(what + ": bad numeric field in rollup: \"" + field +
+                   "\"");
+    return *value;
 }
 
 /** The group's rows sorted by run index, deduplicated last-wins: the
@@ -196,7 +176,7 @@ ObsRollup::read(std::istream &is, const std::string &what)
                 line.compare(0, 8, "run,tick") != 0)
                 sim::fatal(what + ": rollup group \"" + config +
                            "\" lacks its header line");
-            std::vector<std::string> header = splitCsv(line);
+            std::vector<std::string> header = splitRow(line, what);
             rollup._groups.push_back(RollupGroup{
                 config,
                 {header.begin() + 2, header.end()},
@@ -206,16 +186,16 @@ ObsRollup::read(std::istream &is, const std::string &what)
         }
         if (!group)
             sim::fatal(what + ": rollup data before any group line");
-        const std::vector<std::string> fields = splitCsv(line);
+        const std::vector<std::string> fields = splitRow(line, what);
         if (fields.size() != group->paths.size() + 2)
             sim::fatal(what + ": rollup row width mismatch in \"" +
                        group->config + "\"");
         RollupRow row;
-        row.run = static_cast<std::size_t>(parseIndex(fields[0], what));
-        row.tick = parseIndex(fields[1], what);
+        row.run = parseField<std::size_t>(fields[0], what);
+        row.tick = parseField<std::uint64_t>(fields[1], what);
         row.values.reserve(group->paths.size());
         for (std::size_t i = 2; i < fields.size(); ++i)
-            row.values.push_back(parseValue(fields[i], what));
+            row.values.push_back(parseField<double>(fields[i], what));
         group->rows.push_back(std::move(row));
     }
     return rollup;
@@ -278,13 +258,11 @@ entityId(const std::string &path, const std::string &prefix,
     const std::size_t slash = path.find('/', prefix.size());
     if (slash == std::string::npos || path.substr(slash + 1) != leaf)
         return false;
-    const std::string digits = path.substr(prefix.size(),
-                                           slash - prefix.size());
-    if (digits.empty())
-        return false;
-    char *end = nullptr;
-    id = std::strtoull(digits.c_str(), &end, 10);
-    return end == digits.c_str() + digits.size();
+    const auto parsed = parseCsvNumber<std::uint64_t>(
+        path.substr(prefix.size(), slash - prefix.size()));
+    if (parsed)
+        id = *parsed;
+    return parsed.has_value();
 }
 
 void

@@ -302,6 +302,21 @@ ScenarioSpec::resolve() const
 }
 
 ScenarioSpec
+paperScenario(std::uint64_t requests)
+{
+    ScenarioSpec scenario;
+    scenario.name = "paper-sweep";
+    scenario.workloads = {"all"};
+    scenario.configs = {"paper"};
+    scenario.requests = requests;
+    // Measure steady state: a fifth of the budget warms the queues,
+    // MSHRs, and thread windows before the clocks start.
+    scenario.warmup_requests = requests / 5;
+    scenario.seed_policy = SeedPolicy::Fixed;
+    return scenario;
+}
+
+ScenarioSpec
 parseScenario(std::string_view text)
 {
     const ScenarioDoc doc = parseScenarioText(text);

@@ -182,6 +182,14 @@ struct ScenarioSpec
     CampaignSpec resolve() const;
 };
 
+/**
+ * The paper sweep behind Figures 8-11: the 15 Table-3 workloads on the
+ * five paper configurations at @p requests misses per run, a fifth of
+ * that as warm-up, and the SimParams default seed in every cell
+ * (scenarios/fig9.scenario at the paper budget).
+ */
+ScenarioSpec paperScenario(std::uint64_t requests);
+
 /** Parse scenario text; fatal (with line numbers) on any violation. */
 ScenarioSpec parseScenario(std::string_view text);
 

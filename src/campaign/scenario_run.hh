@@ -42,7 +42,7 @@ enum class EnvOverrides
      * concurrent worker at once. */
     ShardOnly,
     /** Every variable (requests, threads, shard, checkpoint, sinks) —
-     * the interactive front-end contract (corona-run, fig benches). */
+     * the interactive front-end contract (corona-run). */
     All,
 };
 

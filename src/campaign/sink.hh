@@ -7,13 +7,13 @@
  * runner's lock — sink output is therefore byte-identical regardless of
  * worker-thread count. CsvSink and JsonLinesSink serialise the full
  * RunMetrics field set for plotting scripts; MemorySink keeps records in
- * memory and can reshape them into the [workload][config] grid the
- * table/figure benches consume.
+ * memory and can reshape them into a [workload][config] grid.
  */
 
 #ifndef CORONA_CAMPAIGN_SINK_HH
 #define CORONA_CAMPAIGN_SINK_HH
 
+#include <charconv>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -54,6 +54,23 @@ std::string csvEscape(const std::string &cell);
 std::optional<std::vector<std::string>>
 splitCsvRow(const std::string &line);
 
+/** Parse all of @p text as a T with std::from_chars; nullopt on an
+ * empty field, trailing bytes, a sign on an unsigned type, a leading
+ * '+', or overflow. The numeric reader for every campaign and obs CSV
+ * file: it accepts every value formatShortestDouble and
+ * obs::formatValue write, nan and inf included. */
+template <typename T>
+std::optional<T>
+parseCsvNumber(const std::string &text)
+{
+    T value{};
+    const auto res = std::from_chars(text.data(),
+                                     text.data() + text.size(), value);
+    if (res.ec != std::errc{} || res.ptr != text.data() + text.size())
+        return std::nullopt;
+    return value;
+}
+
 /** One RFC-4180-style CSV row for @p record in CsvSink::header()
  * column order, without a trailing newline. Doubles use the shortest
  * round-trip form, so parsing the row recovers the exact values, and
@@ -91,7 +108,7 @@ class JsonLinesSink : public ResultSink
     std::ostream &_os;
 };
 
-/** Retains records in memory, preserving the legacy Sweep shape. */
+/** Retains records in memory, in run-index order. */
 class MemorySink : public ResultSink
 {
   public:
@@ -103,9 +120,9 @@ class MemorySink : public ResultSink
     const std::vector<RunRecord> &records() const { return _records; }
 
     /**
-     * Metrics reshaped as [workload][config] — the seed repo's Sweep
-     * layout. Fatal if the campaign had replicate seed / override axes
-     * (the grid would be ambiguous) or if any run failed.
+     * Metrics reshaped as [workload][config]. Fatal if the campaign
+     * had replicate seed / override axes (the grid would be
+     * ambiguous) or if any run failed.
      */
     std::vector<std::vector<core::RunMetrics>> grid() const;
 

@@ -84,7 +84,7 @@ struct CampaignSpec
 struct RunPlan
 {
     /** Position in expansion order (workload-major, then config, seed,
-     * override) — the serial-loop order of the seed repo's runSweep. */
+     * override) — the order of the historical serial sweep loop. */
     std::size_t index = 0;
 
     std::size_t workload_index = 0;

@@ -31,8 +31,8 @@ template <typename T>
 void
 putLE(std::ostream &os, T value)
 {
-    // The codebase targets little-endian hosts throughout (the legacy
-    // trace and obs containers write raw structs); keep that contract.
+    // The codebase targets little-endian hosts throughout (the obs
+    // containers write raw structs); keep that contract.
     os.write(reinterpret_cast<const char *>(&value), sizeof(value));
 }
 
@@ -218,8 +218,7 @@ Reader::Reader(std::istream &is, std::string label)
     if (!_is)
         die(0, "cannot read header");
     if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
-        die(0, "bad magic (not a ctrace file; legacy CORONATRACE "
-               "files convert via `corona-trace convert`)");
+        die(0, "bad magic (not a ctrace file)");
     _info.version = getLE<std::uint16_t>(header + 8);
     if (_info.version != kVersion)
         die(8, "unsupported version " + std::to_string(_info.version));
@@ -407,70 +406,6 @@ readTraceInfo(const std::string &path)
         sim::fatal("ctrace: cannot read \"" + path + "\"");
     Reader reader(in, path);
     return reader.info();
-}
-
-// --------------------------------------------------------------- legacy
-
-namespace {
-
-// The legacy fixed-record format, as src/workload/trace.cc lays it
-// out: 16-byte header ("CORONATRACE\0", u16 version, u16 flags, u32
-// threads) + 32-byte packed records.
-constexpr char kLegacyMagic[12] = {'C', 'O', 'R', 'O', 'N', 'A',
-                                   'T', 'R', 'A', 'C', 'E', '\0'};
-constexpr std::uint16_t kLegacyMaxVersion = 2;
-constexpr std::uint16_t kLegacyFlagReference = 1u << 0;
-
-} // namespace
-
-LegacyInfo
-readLegacyInfo(std::istream &legacy)
-{
-    char magic[sizeof(kLegacyMagic)];
-    legacy.read(magic, sizeof(magic));
-    if (!legacy ||
-        std::memcmp(magic, kLegacyMagic, sizeof(magic)) != 0)
-        sim::fatal("legacy trace: bad magic");
-    char fields[8];
-    legacy.read(fields, sizeof(fields));
-    if (!legacy)
-        sim::fatal("legacy trace: truncated header");
-    const auto version = getLE<std::uint16_t>(fields);
-    auto flags = getLE<std::uint16_t>(fields + 2);
-    if (version < 1 || version > kLegacyMaxVersion)
-        sim::fatal("legacy trace: unsupported version " +
-                   std::to_string(version));
-    if (version < 2)
-        flags = 0; // v1 wrote this field as pad.
-    if (flags & ~kLegacyFlagReference)
-        sim::fatal("legacy trace: unknown flags");
-    LegacyInfo info;
-    info.threads = getLE<std::uint32_t>(fields + 4);
-    if (info.threads == 0)
-        sim::fatal("legacy trace: bad thread count");
-    info.reference_stream = (flags & kLegacyFlagReference) != 0;
-    return info;
-}
-
-std::uint64_t
-convertLegacy(std::istream &legacy, Writer &writer)
-{
-    char packed[32];
-    std::uint64_t converted = 0;
-    while (legacy.read(packed, sizeof(packed))) {
-        workload::TraceRecord record;
-        record.thread = getLE<std::uint32_t>(packed);
-        record.home = getLE<std::uint32_t>(packed + 4);
-        record.line = getLE<std::uint64_t>(packed + 8);
-        record.think_time = getLE<std::uint64_t>(packed + 16);
-        record.write = static_cast<std::uint8_t>(packed[24]);
-        writer.append(record);
-        ++converted;
-    }
-    if (legacy.gcount() != 0)
-        sim::fatal("legacy trace: torn final record (" +
-                   std::to_string(legacy.gcount()) + " stray bytes)");
-    return converted;
 }
 
 } // namespace corona::trace

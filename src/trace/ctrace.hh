@@ -56,9 +56,6 @@
  * loaded, no matter how large the file. Every structural violation
  * (bad magic, impossible thread id, torn final block, overlong
  * varint, trailing garbage) dies with an offset-numbered FatalError.
- *
- * The legacy fixed-record "CORONATRACE" v1/v2 format
- * (src/workload/trace.hh) stays readable through convertLegacy().
  */
 
 #ifndef CORONA_TRACE_CTRACE_HH
@@ -220,22 +217,6 @@ class Reader
 
 /** Read just the header of @p path (fatal when unreadable/corrupt). */
 TraceInfo readTraceInfo(const std::string &path);
-
-/**
- * Convert a legacy "CORONATRACE" v1/v2 fixed-record stream into
- * @p writer, one record at a time (bounded memory). Returns the
- * record count. Fatal on a malformed legacy stream.
- */
-std::uint64_t convertLegacy(std::istream &legacy, Writer &writer);
-
-/** Thread count and reference-stream flag of a legacy trace header
- * (fatal on garbage) — what convertLegacy's Writer needs up front. */
-struct LegacyInfo
-{
-    std::uint32_t threads = 0;
-    bool reference_stream = false;
-};
-LegacyInfo readLegacyInfo(std::istream &legacy);
 
 } // namespace corona::trace
 

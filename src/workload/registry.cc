@@ -17,9 +17,14 @@ constexpr const char *syntheticKnobsHelp =
     "clusters, mean_think, write_fraction, threads_per_cluster, "
     "hot_cluster";
 constexpr const char *splashKnobsHelp = "clusters";
-constexpr const char *sharingKnobsHelp =
-    "clusters, mean_think, write_fraction, threads_per_cluster, lines, "
-    "phase_length";
+// Each sharing pattern takes only the knobs it reads: Migratory alone
+// walks lines in phases, False Sharing alone draws its writes.
+constexpr const char *migratoryKnobsHelp =
+    "clusters, mean_think, threads_per_cluster, lines, phase_length";
+constexpr const char *producerConsumerKnobsHelp =
+    "clusters, mean_think, threads_per_cluster, lines";
+constexpr const char *falseSharingKnobsHelp =
+    "clusters, mean_think, write_fraction, threads_per_cluster, lines";
 
 [[noreturn]] void
 badKnobValue(const std::string &name, const std::string &key,
@@ -57,6 +62,16 @@ knobFraction(const std::string &name, const WorkloadKnob &knob)
         badKnobValue(name, knob.first, knob.second,
                      "a fraction in [0, 1]");
     return *parsed;
+}
+
+SharingPattern
+sharingPatternOf(const std::string &name)
+{
+    if (name == "Migratory")
+        return SharingPattern::Migratory;
+    if (name == "Producer-Consumer")
+        return SharingPattern::ProducerConsumer;
+    return SharingPattern::FalseSharing;
 }
 
 /** Everything a registered factory needs, resolved from knobs. */
@@ -112,12 +127,14 @@ resolveKnobs(const RegistryEntry &entry,
             }
         }
         if (entry.sharing) {
+            const SharingPattern pattern = sharingPatternOf(entry.name);
             if (knob.first == "mean_think") {
                 resolved.sharing.mean_think =
                     knobPositive(entry.name, knob);
                 continue;
             }
-            if (knob.first == "write_fraction") {
+            if (knob.first == "write_fraction" &&
+                pattern == SharingPattern::FalseSharing) {
                 resolved.sharing.write_fraction =
                     knobFraction(entry.name, knob);
                 continue;
@@ -133,7 +150,8 @@ resolveKnobs(const RegistryEntry &entry,
                     knobPositive(entry.name, knob));
                 continue;
             }
-            if (knob.first == "phase_length") {
+            if (knob.first == "phase_length" &&
+                pattern == SharingPattern::Migratory) {
                 resolved.sharing.phase_length =
                     static_cast<std::size_t>(
                         knobPositive(entry.name, knob));
@@ -159,16 +177,6 @@ patternOf(const std::string &name)
     return Pattern::Transpose;
 }
 
-SharingPattern
-sharingPatternOf(const std::string &name)
-{
-    if (name == "Migratory")
-        return SharingPattern::Migratory;
-    if (name == "Producer-Consumer")
-        return SharingPattern::ProducerConsumer;
-    return SharingPattern::FalseSharing;
-}
-
 } // namespace
 
 const std::vector<RegistryEntry> &
@@ -184,10 +192,11 @@ registry()
         for (const SplashParams &params : splashSuite())
             all.push_back({params.name, false, splashKnobsHelp});
         // Sharing patterns (coherent front end) follow the suite.
-        all.push_back({"Migratory", false, sharingKnobsHelp, true});
+        all.push_back({"Migratory", false, migratoryKnobsHelp, true});
         all.push_back(
-            {"Producer-Consumer", false, sharingKnobsHelp, true});
-        all.push_back({"False Sharing", false, sharingKnobsHelp, true});
+            {"Producer-Consumer", false, producerConsumerKnobsHelp, true});
+        all.push_back(
+            {"False Sharing", false, falseSharingKnobsHelp, true});
         return all;
     }();
     return entries;

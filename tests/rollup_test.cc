@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,12 +75,40 @@ TEST(ObsRollup, ReadWriteRoundTripIsByteStable)
     campaign::ObsRollup rollup;
     rollup.addRun("cfg", 0, 100, {"a/b", "c/d"}, {0.1, 1e-9});
     rollup.addRun("cfg", 1, 200, {}, {0.30000000000000004, 12345.0});
+    // Every value class obs::formatValue writes must read back.
+    rollup.addRun("special", 2, 300,
+                  {"v/nan", "v/inf", "v/ninf", "v/nzero", "v/tiny",
+                   "v/max"},
+                  {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), -0.0,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::max()});
 
     const std::string bytes = rollupBytes(rollup);
     std::istringstream in(bytes);
     const campaign::ObsRollup reread =
         campaign::ObsRollup::read(in, "round trip");
     EXPECT_EQ(rollupBytes(reread), bytes);
+}
+
+TEST(ObsRollup, ReadRejectsSignedOrMalformedIndices)
+{
+    // Run indices and ticks are plain decimal counts: a sign (an
+    // accepted "-1" would wrap to 2^64-1), whitespace, hex, or an
+    // empty field is fatal, and so is a value with a leading '+'.
+    for (const char *row : {"-1,100,5", "+5,100,5", "1,-100,5",
+                            "1, 100,5", "0x1,100,5", ",100,5",
+                            "1,100,+5", "1,100,"}) {
+        std::istringstream in(std::string("corona-rollup-v1\n"
+                                          "group,cfg\n"
+                                          "run,tick,p/a\n"
+                                          "0,100,5\n") +
+                              row + "\n");
+        EXPECT_THROW(campaign::ObsRollup::read(in, "signed"),
+                     sim::FatalError)
+            << row;
+    }
 }
 
 TEST(ObsRollup, MergeOrderDoesNotChangeTheBytes)

@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the workload models: synthetic pattern
  * destination functions, SPLASH-2 calibration (offered loads versus the
- * bandwidth classes of Figure 9), burst behaviour, determinism.
+ * bandwidth classes of Figure 9), burst behaviour, determinism, and
+ * the registry's per-pattern knob sets.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include <map>
 #include <set>
 
+#include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "workload/registry.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
@@ -283,6 +286,54 @@ TEST_P(SplashCalibration, EmpiricalRateMatchesOfferedLoad)
         EXPECT_LT(mean_gap, expected * 2.0) << GetParam();
         EXPECT_GT(mean_gap, expected * 0.4) << GetParam();
     }
+}
+
+/** The registry diagnostic for @p knob on @p name, or "" if valid. */
+std::string
+knobError(const std::string &name, const workload::WorkloadKnob &knob)
+{
+    try {
+        workload::validateWorkloadKnobs(name, {knob});
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Registry, SharingPatternsRejectKnobsTheyIgnore)
+{
+    // Migratory and Producer-Consumer fix their writes by pattern, and
+    // only Migratory walks its lines in phases.
+    const std::pair<const char *, workload::WorkloadKnob> ignored[] = {
+        {"Migratory", {"write_fraction", "0.5"}},
+        {"Producer-Consumer", {"write_fraction", "0.5"}},
+        {"Producer-Consumer", {"phase_length", "4"}},
+        {"False Sharing", {"phase_length", "4"}},
+    };
+    for (const auto &[name, knob] : ignored) {
+        const std::string error = knobError(name, knob);
+        EXPECT_NE(error.find("unknown knob \"" + knob.first + "\""),
+                  std::string::npos)
+            << name << ": " << error;
+        // The help text lists only the pattern's own knobs.
+        const std::size_t valid = error.find("(valid knobs: ");
+        ASSERT_NE(valid, std::string::npos) << name << ": " << error;
+        EXPECT_EQ(error.find(knob.first, valid), std::string::npos)
+            << name << ": " << error;
+    }
+
+    // Every knob a pattern reads stays accepted.
+    const std::pair<const char *, workload::WorkloadKnob> read[] = {
+        {"Migratory", {"phase_length", "2"}},
+        {"Migratory", {"lines", "32"}},
+        {"Producer-Consumer", {"mean_think", "500"}},
+        {"Producer-Consumer", {"threads_per_cluster", "2"}},
+        {"False Sharing", {"write_fraction", "0.05"}},
+        {"False Sharing", {"lines", "32"}},
+        {"False Sharing", {"clusters", "16"}},
+    };
+    for (const auto &[name, knob] : read)
+        EXPECT_EQ(knobError(name, knob), "") << name << " " << knob.first;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -39,7 +39,6 @@
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
-#include "common.hh"
 #include "corona/knobs.hh"
 #include "model/calibration.hh"
 #include "model/design_space.hh"
@@ -562,7 +561,7 @@ exploreMain(const CliOptions &cli)
                      "grid at "
                   << options.anchor_requests << " requests/cell...\n";
         campaign::CampaignSpec anchor =
-            bench::paperSweepSpec(options.anchor_requests);
+            campaign::paperScenario(options.anchor_requests).resolve();
         model::CalibrateOptions calibrate_options;
         calibrate_options.checkpoint_path = options.checkpoint_path;
         if (!options.quiet)

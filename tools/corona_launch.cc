@@ -2,7 +2,7 @@
  * @file
  * corona-launch: one-command distributed paper sweeps.
  *
- * Schedules the N shards of the fig8–fig11 paper sweep over a bounded
+ * Schedules the N shards of the Figures 8–11 paper sweep over a bounded
  * pool of worker processes (default: re-exec this binary in --worker
  * mode locally; any template via --cmd, e.g. ssh onto other hosts),
  * retries crashed or failed shards with exponential backoff, merges
@@ -41,7 +41,6 @@
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
 #include "campaign/sink.hh"
-#include "common.hh"
 #include "corona/env.hh"
 #include "corona/knobs.hh"
 #include "obs/heartbeat.hh"
@@ -284,7 +283,7 @@ launchScenario(const CliOptions &options)
     if (!options.scenario.empty())
         return campaign::loadScenarioFile(options.scenario);
     campaign::ScenarioSpec scenario =
-        bench::paperScenario(options.requests);
+        campaign::paperScenario(options.requests);
     if (options.grid_workloads > 0 || options.grid_configs > 0) {
         // Explicit name lists instead of the "all"/"paper" aliases,
         // so the generated scenario file states the restricted grid.

@@ -23,6 +23,9 @@
  *   corona-stats report   OBS_DIR [--top N] [--probes PREFIX]
  *                         render the campaign rollup (merging
  *                         per-shard rollup files when needed)
+ *   corona-stats figure   {8,9,10,11} SWEEP.csv
+ *                         render Figure N's table from the per-run
+ *                         CSV of the paper sweep
  *   corona-stats follow   HEARTBEAT.jsonl... [--once] [--interval MS]
  *                         tail heartbeats into a live status line
  *
@@ -42,13 +45,18 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/checkpoint.hh"
 #include "campaign/obs_rollup.hh"
+#include "campaign/scenario.hh"
+#include "campaign/sink.hh"
+#include "corona/simulation.hh"
 #include "obs/follow.hh"
 #include "obs/observe.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
+#include "stats/report.hh"
 #include "stats/stats.hh"
 
 namespace {
@@ -77,6 +85,9 @@ usage(std::ostream &os)
           "  corona-stats report OBS_DIR [--top N] [--probes PREFIX]\n"
           "      render the campaign rollup report (merges per-shard\n"
           "      rollup-*.csv files when no merged rollup.csv exists)\n"
+          "  corona-stats figure {8,9,10,11} SWEEP.csv\n"
+          "      render a paper figure's table from the per-run CSV of\n"
+          "      the paper sweep (corona-run scenarios/fig9.scenario)\n"
           "  corona-stats follow FILE.jsonl... [--once] "
           "[--interval MS]\n"
           "      tail heartbeat streams (multi-shard) into one\n"
@@ -112,34 +123,15 @@ hasMagic(const std::string &path, const char (&magic)[8])
            std::equal(head, head + sizeof(head), magic);
 }
 
-/** Split one CSV line (no quoting — none of our writers quote). */
+/** One CSV line split by the campaign splitter; fatal on bad
+ * quoting. */
 std::vector<std::string>
-splitCsv(const std::string &line)
+splitCsv(const std::string &line, const std::string &where)
 {
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream is(line);
-    while (std::getline(is, field, ','))
-        fields.push_back(field);
-    if (!line.empty() && line.back() == ',')
-        fields.push_back("");
-    return fields;
-}
-
-double
-parseDoubleField(const std::string &text, const std::string &path,
-                 std::size_t line_no)
-{
-    try {
-        std::size_t used = 0;
-        const double value = std::stod(text, &used);
-        if (used != text.size())
-            throw std::invalid_argument(text);
-        return value;
-    } catch (const std::exception &) {
-        die(path + ":" + std::to_string(line_no) +
-            ": not a number: \"" + text + "\"");
-    }
+    auto fields = campaign::splitCsvRow(line);
+    if (!fields)
+        die(where + ": bad CSV quoting");
+    return std::move(*fields);
 }
 
 int
@@ -148,7 +140,7 @@ summarizeTimeSeriesCsv(std::istream &stream, const std::string &path)
     std::string line;
     if (!std::getline(stream, line))
         die(path + ": empty file (expected a tick,<paths...> header)");
-    const std::vector<std::string> header = splitCsv(line);
+    const std::vector<std::string> header = splitCsv(line, path + ":1");
     if (header.size() < 2 || header[0] != "tick")
         die(path + ": header must be \"tick,<path>,...\", got \"" +
             line + "\"");
@@ -158,14 +150,17 @@ summarizeTimeSeriesCsv(std::istream &stream, const std::string &path)
     std::size_t line_no = 1;
     while (std::getline(stream, line)) {
         ++line_no;
-        const std::vector<std::string> fields = splitCsv(line);
+        const std::string where = path + ":" + std::to_string(line_no);
+        const std::vector<std::string> fields = splitCsv(line, where);
         if (fields.size() != header.size())
-            die(path + ":" + std::to_string(line_no) + ": expected " +
-                std::to_string(header.size()) + " fields, got " +
-                std::to_string(fields.size()));
-        for (std::size_t i = 1; i < fields.size(); ++i)
-            columns[i - 1].sample(
-                parseDoubleField(fields[i], path, line_no));
+            die(where + ": expected " + std::to_string(header.size()) +
+                " fields, got " + std::to_string(fields.size()));
+        for (std::size_t i = 1; i < fields.size(); ++i) {
+            const auto value = campaign::parseCsvNumber<double>(fields[i]);
+            if (!value)
+                die(where + ": not a number: \"" + fields[i] + "\"");
+            columns[i - 1].sample(*value);
+        }
         ++rows;
     }
 
@@ -505,11 +500,11 @@ reportCommand(const std::string &dir,
         };
         if (arg == "--top") {
             const std::string &value = take("--top");
-            char *end = nullptr;
-            options.top = std::strtoull(value.c_str(), &end, 10);
-            if (end != value.c_str() + value.size() || options.top == 0)
+            const auto top = core::parsePositiveCount(value);
+            if (!top)
                 die("--top needs a positive count, got \"" + value +
                     "\"");
+            options.top = static_cast<std::size_t>(*top);
         } else if (arg == "--probes") {
             options.probes = take("--probes");
         } else {
@@ -545,6 +540,210 @@ reportCommand(const std::string &dir,
             rollup.merge(campaign::readRollupFile(file));
     }
     campaign::writeRollupReport(std::cout, rollup, options);
+    return 0;
+}
+
+/** A paper-sweep CsvSink file pivoted into [workload][config]. */
+struct PaperGrid
+{
+    campaign::CampaignSpec spec;
+    std::vector<std::vector<core::RunMetrics>> cells;
+};
+
+/** Read @p path, which must hold exactly the runs of
+ * campaign::paperScenario's 15 x 5 grid (any budget), all ok. */
+PaperGrid
+readPaperGrid(const std::string &path)
+{
+    std::ifstream stream = openOrDie(path);
+    std::string line;
+    if (!std::getline(stream, line) || line != campaign::CsvSink::header())
+        die(path + ": not a campaign CSV (expected the CsvSink header)");
+
+    PaperGrid grid{campaign::paperScenario(1).resolve(), {}};
+    const std::size_t configs = grid.spec.configs.size();
+    grid.cells.assign(grid.spec.workloads.size(),
+                      std::vector<core::RunMetrics>(configs));
+    std::vector<bool> seen(grid.spec.totalRuns(), false);
+    std::size_t line_no = 1;
+    while (std::getline(stream, line)) {
+        ++line_no;
+        const std::string where = path + ":" + std::to_string(line_no);
+        const auto record = campaign::parseRecordRow(line);
+        if (!record)
+            die(where + ": malformed CsvSink row");
+        const std::size_t index = record->index;
+        if (index >= seen.size() || seen[index])
+            die(where + ": run " + std::to_string(index) +
+                (index >= seen.size() ? " is outside" : " repeats in") +
+                " the " + std::to_string(seen.size()) +
+                "-run paper grid");
+        const std::string workload =
+            grid.spec.workloads[index / configs].name;
+        const std::string config = grid.spec.configs[index % configs].name();
+        if (record->workload != workload || record->config != config ||
+            !record->override_label.empty())
+            die(where + ": run " + std::to_string(index) + " is " +
+                record->workload + " on " + record->config +
+                ", but the paper grid has " + workload + " on " + config);
+        if (!record->ok)
+            die(where + ": run " + std::to_string(index) + " (" +
+                workload + " on " + config + ") failed: " +
+                record->error);
+        seen[index] = true;
+        grid.cells[index / configs][index % configs] = record->metrics;
+    }
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        if (!seen[i])
+            die(path + ": not the paper grid: run " + std::to_string(i) +
+                " (" + grid.spec.workloads[i / configs].name + " on " +
+                grid.spec.configs[i % configs].name() + ") is missing");
+    }
+    return grid;
+}
+
+/** Print Figure 8: speedup over LMesh/ECM plus the Section 5
+ * geometric means. */
+void
+printFigure8(const PaperGrid &grid, std::vector<std::string> header)
+{
+    stats::TableWriter table("Figure 8: Normalized Speedup (vs LMesh/ECM)");
+    table.setHeader(std::move(header));
+
+    // Per-class geomean accumulators for the Section 5 summary.
+    std::vector<double> syn_hmesh_gain, syn_xbar_gain;
+    std::vector<double> spl_hmesh_gain, spl_xbar_gain;
+    for (std::size_t w = 0; w < grid.cells.size(); ++w) {
+        const auto &row = grid.cells[w];
+        const core::RunMetrics &baseline = row[0];
+        std::vector<std::string> cells = {grid.spec.workloads[w].name};
+        for (const core::RunMetrics &metrics : row)
+            cells.push_back(
+                stats::formatDouble(metrics.speedupOver(baseline), 2));
+        table.addRow(cells);
+
+        // Column order: LMesh/ECM, HMesh/ECM, LMesh/OCM, HMesh/OCM,
+        // XBar/OCM.
+        const double hmesh_ecm = row[1].speedupOver(baseline);
+        const double hmesh_ocm = row[3].speedupOver(baseline);
+        const double xbar_ocm = row[4].speedupOver(baseline);
+        const bool synthetic = grid.spec.workloads[w].synthetic;
+        (synthetic ? syn_hmesh_gain : spl_hmesh_gain)
+            .push_back(hmesh_ocm / hmesh_ecm);
+        (synthetic ? syn_xbar_gain : spl_xbar_gain)
+            .push_back(xbar_ocm / hmesh_ocm);
+    }
+    table.print(std::cout);
+
+    const auto geomean = [](const std::vector<double> &gains) {
+        return stats::formatDouble(stats::geometricMean(gains), 2);
+    };
+    std::cout << "\nSection 5 geometric-mean summary (paper values in "
+                 "parentheses):\n"
+              << "  synthetic: OCM over ECM (HMesh) "
+              << geomean(syn_hmesh_gain)
+              << "x (3.28x); crossbar over HMesh/OCM "
+              << geomean(syn_xbar_gain) << "x (2.36x)\n"
+              << "  SPLASH-2:  OCM over ECM (HMesh) "
+              << geomean(spl_hmesh_gain)
+              << "x (1.80x); crossbar over HMesh/OCM "
+              << geomean(spl_xbar_gain) << "x (1.44x)\n";
+}
+
+/** Print Figure 9: achieved bandwidth (TB/s) plus offered load. */
+void
+printFigure9(const PaperGrid &grid, std::vector<std::string> header)
+{
+    stats::TableWriter table("Figure 9: Achieved Bandwidth (TB/s)");
+    header.push_back("offered");
+    table.setHeader(std::move(header));
+    for (std::size_t w = 0; w < grid.cells.size(); ++w) {
+        std::vector<std::string> cells = {grid.spec.workloads[w].name};
+        for (const core::RunMetrics &metrics : grid.cells[w])
+            cells.push_back(stats::formatDouble(
+                metrics.achieved_bytes_per_second / 1e12, 2));
+        cells.push_back(stats::formatDouble(
+            grid.cells[w][0].offered_bytes_per_second / 1e12, 2));
+        table.addRow(cells);
+    }
+    table.print(std::cout);
+    std::cout << "\nShape checks: ECM columns saturate near 0.96 TB/s on "
+                 "demanding workloads;\nHot Spot pins at one "
+                 "controller's 0.16 TB/s; the 2-5 TB/s class (Uniform,\n"
+                 "Tornado, Transpose, Cholesky, FFT, Ocean, Radix) is "
+                 "realized only on XBar/OCM.\n";
+}
+
+/** Print Figure 10: average L2-miss latency (ns) plus the XBar/OCM
+ * p95 tail. */
+void
+printFigure10(const PaperGrid &grid, std::vector<std::string> header)
+{
+    stats::TableWriter table("Figure 10: Average L2 Miss Latency (ns)");
+    header.push_back("XBar p95");
+    table.setHeader(std::move(header));
+    for (std::size_t w = 0; w < grid.cells.size(); ++w) {
+        std::vector<std::string> cells = {grid.spec.workloads[w].name};
+        for (const core::RunMetrics &metrics : grid.cells[w])
+            cells.push_back(stats::formatDouble(metrics.avg_latency_ns, 0));
+        cells.push_back(
+            stats::formatDouble(grid.cells[w].back().p95_latency_ns, 0));
+        table.addRow(cells);
+    }
+    table.print(std::cout);
+    std::cout << "\nShape checks: bursty LU and Raytrace see large ECM "
+                 "latencies that OCM slashes\nand the crossbar improves "
+                 "further; low-demand applications sit near the ~40-60 "
+                 "ns\nuncontended round trip everywhere.\n";
+}
+
+/** Print Figure 11: on-chip network power (W). */
+void
+printFigure11(const PaperGrid &grid, std::vector<std::string> header)
+{
+    stats::TableWriter table("Figure 11: On-chip Network Power (W)");
+    table.setHeader(std::move(header));
+    double worst_mesh = 0.0;
+    for (std::size_t w = 0; w < grid.cells.size(); ++w) {
+        std::vector<std::string> cells = {grid.spec.workloads[w].name};
+        for (std::size_t c = 0; c < grid.cells[w].size(); ++c) {
+            const double power = grid.cells[w][c].network_power_w;
+            cells.push_back(stats::formatDouble(power, 1));
+            if (grid.spec.configs[c].network != core::NetworkKind::XBar)
+                worst_mesh = std::max(worst_mesh, power);
+        }
+        table.addRow(cells);
+    }
+    table.print(std::cout);
+    std::cout << "\nShape checks: the crossbar holds a flat 26 W; for "
+                 "cache-resident workloads the\nmeshes dissipate less, "
+                 "but on memory-intensive workloads mesh power climbs "
+                 "toward\n100 W+ while delivering less performance "
+                 "(worst mesh point here: "
+              << stats::formatDouble(worst_mesh, 1) << " W).\n";
+}
+
+int
+figureCommand(const std::string &figure,
+              const std::vector<std::string> &args)
+{
+    if (figure != "8" && figure != "9" && figure != "10" && figure != "11")
+        die("unknown figure \"" + figure + "\" (8, 9, 10 or 11)");
+    if (args.size() != 1)
+        die("figure " + figure + " needs exactly one SWEEP.csv");
+
+    const PaperGrid grid = readPaperGrid(args.front());
+    std::vector<std::string> header = {"Benchmark"};
+    for (const core::SystemConfig &config : grid.spec.configs)
+        header.push_back(config.name());
+    if (figure == "8")
+        printFigure8(grid, std::move(header));
+    else if (figure == "9")
+        printFigure9(grid, std::move(header));
+    else if (figure == "10")
+        printFigure10(grid, std::move(header));
+    else
+        printFigure11(grid, std::move(header));
     return 0;
 }
 
@@ -666,6 +865,8 @@ main(int argc, char **argv)
             return summarizeHeartbeat(path);
         if (command == "report")
             return reportCommand(path, rest);
+        if (command == "figure")
+            return figureCommand(path, rest);
         if (command == "follow") {
             std::vector<std::string> follow_args;
             follow_args.push_back(path);
@@ -673,7 +874,7 @@ main(int argc, char **argv)
                                rest.end());
             return followCommand(follow_args);
         }
-    } catch (const sim::FatalError &e) {
+    } catch (const std::exception &e) {
         die(e.what());
     }
     std::cerr << "corona-stats: unknown subcommand \"" << command
