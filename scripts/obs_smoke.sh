@@ -16,6 +16,9 @@
 #      merges per-shard rollups into bytes identical to the whole-run
 #      rollup.csv; `corona-stats follow --once` and `corona-stats
 #      report` render the shard heartbeats and the merged rollup.
+#   5. Overhead ceiling: a 60-cell grid with the sampler every 1 us and
+#      a 4096-event tracer ring costs at most 1.5x the same grid
+#      unobserved, as the median wall-time ratio of 7 on/off pairs.
 #
 # Usage: scripts/obs_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -154,5 +157,74 @@ grep -q "^campaign rollup:" "${DIR}/report.txt" || {
   exit 1
 }
 
+# ---- 5. Observing stays cheap enough to leave on. One worker, 60
+#         cells of 5000 requests: about 1 s per arm on one core. Few,
+#         long cells keep the per-run file writes (about 46 KB each,
+#         mostly the tracer ring) a small share, so the ratio measures
+#         the per-event sampling and tracing path rather than the
+#         host's filesystem. Each pair runs both arms back to back,
+#         alternating which goes first, and the gate is the median of
+#         7 on/off ratios, so a pass or two slowed by a busy host
+#         cannot fail it. The 1.5x ceiling catches the sampler's fast path
+#         regressing toward the 2.6x it replaced.
+overhead_scenario() { # $1 = obs dir; empty = no [observability] section
+  cat <<EOF
+[scenario]
+name = obs-overhead
+requests = 5000
+seed_policy = derived
+seeds = $(seq -s, 0 59)
+
+[workloads]
+workload = Uniform
+
+[configs]
+config = XBar/OCM
+
+[execution]
+progress = off
+EOF
+  if [ -n "$1" ]; then
+    cat <<EOF
+
+[observability]
+sample_period = 1000000
+trace_capacity = 4096
+dir = $1
+EOF
+  fi
+}
+overhead_scenario "${DIR}/overhead-obs" > "${DIR}/overhead-on.scenario"
+overhead_scenario ""                    > "${DIR}/overhead-off.scenario"
+
+timed_run() { # $1 = scenario file; prints its wall time in ns
+  local start
+  start="$(date +%s%N)"
+  CORONA_JOBS=1 "${BUILD}/corona-run" --quiet --no-table "$1" > /dev/null
+  echo $(( $(date +%s%N) - start ))
+}
+
+ratios=()
+for pair in 1 2 3 4 5 6 7; do
+  rm -rf "${DIR}/overhead-obs" # Every observed pass writes fresh files.
+  if (( pair % 2 )); then
+    off_ns="$(timed_run "${DIR}/overhead-off.scenario")"
+    on_ns="$(timed_run "${DIR}/overhead-on.scenario")"
+  else
+    on_ns="$(timed_run "${DIR}/overhead-on.scenario")"
+    off_ns="$(timed_run "${DIR}/overhead-off.scenario")"
+  fi
+  ratios+=("$(awk -v on="${on_ns}" -v off="${off_ns}" \
+                'BEGIN { printf "%.3f", on / off }')")
+done
+rm -rf "${DIR}/overhead-obs"
+median="$(printf '%s\n' "${ratios[@]}" | sort -g | sed -n 4p)"
+awk -v m="${median}" 'BEGIN { exit !(m <= 1.5) }' || {
+  echo "obs smoke: observability overhead x${median} (pairs:" \
+       "${ratios[*]}) exceeds the 1.5x ceiling" >&2
+  exit 1
+}
+
 echo "obs smoke: OK (file shapes valid, sink off-parity, obs bytes" \
-     "worker-count invariant, rollup shard-merge deterministic)"
+     "worker-count invariant, rollup shard-merge deterministic," \
+     "overhead x${median} within 1.5x)"

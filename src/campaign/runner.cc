@@ -108,12 +108,6 @@ executePlan(const RunPlan &plan)
     return executePlanWith(plan, nullptr, nullptr, nullptr, nullptr);
 }
 
-RunRecord
-executePlan(const RunPlan &plan, core::SystemPool &pool)
-{
-    return executePlanWith(plan, &pool, nullptr, nullptr, nullptr);
-}
-
 CampaignRunner::CampaignRunner(RunnerOptions options)
     : _options(options)
 {
@@ -247,7 +241,6 @@ CampaignRunner::run(const CampaignSpec &spec,
         // perturb results regardless of which worker runs which cell.
         core::SystemPool pool;
         WorkloadCache workloads;
-        const bool pooled = !_options.execute && _options.reuse_systems;
         std::uint64_t cells = 0;
         while (true) {
             const std::size_t at =
@@ -275,9 +268,7 @@ CampaignRunner::run(const CampaignSpec &spec,
             RunRecord record =
                 _options.execute
                     ? _options.execute(plans[idx])
-                    : executePlanWith(plans[idx],
-                                      pooled ? &pool : nullptr,
-                                      pooled ? &workloads : nullptr,
+                    : executePlanWith(plans[idx], &pool, &workloads,
                                       observe ? &run_obs : nullptr,
                                       &lease_seconds);
             ++cells;

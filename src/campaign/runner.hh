@@ -83,16 +83,6 @@ struct RunnerOptions
      * either way — sinks, sharding, checkpointing and resume are
      * executor-agnostic. Must be thread-safe. */
     std::function<RunRecord(const RunPlan &)> execute{};
-    /** Reuse simulation contexts and workload instances across a
-     * worker's runs: each worker thread keeps a SystemPool plus a
-     * WorkloadCache and leases reset instances per cell instead of
-     * reconstructing a full 64-cluster CoronaSystem (and a workload
-     * model) every time. Results and sink bytes are bit-identical
-     * either way (a reset context/workload is observationally a fresh
-     * one — locked in by tests); off exists for bisection and the
-     * corona-perf baseline. Ignored when a custom executor is
-     * installed. */
-    bool reuse_systems = true;
     /** Per-run observability: registry time-series sampling, event
      * tracing, end-of-run snapshots (all off by default). Applied only
      * on the event-simulator path (the scenario layer rejects it for
@@ -147,12 +137,10 @@ class CampaignRunner
     std::vector<ResultSink *> _sinks;
 };
 
-/** Execute one plan on the calling thread (also used by the pool). */
+/** Execute one plan on the calling thread with a freshly built
+ * system and workload: the reference the runner's pooled path must
+ * match byte for byte. */
 RunRecord executePlan(const RunPlan &plan);
-
-/** Execute one plan on a context leased from @p pool (the runner's
- * reuse_systems path). The pool must belong to the calling thread. */
-RunRecord executePlan(const RunPlan &plan, core::SystemPool &pool);
 
 /** Resolve a requested worker count: 0 defers to $CORONA_JOBS when
  * set (strictly parsed, fatal on garbage), else hardware concurrency;

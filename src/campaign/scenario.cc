@@ -402,8 +402,7 @@ parseScenario(std::string_view text)
         checkUniqueKeys(*execution,
                         {"threads", "sim_threads", "shard",
                          "checkpoint", "executor", "calibration",
-                         "csv", "jsonl", "summary", "progress",
-                         "reuse_systems"});
+                         "csv", "jsonl", "summary", "progress"});
         for (const ScenarioEntry &entry : execution->entries) {
             if (entry.key == "threads") {
                 spec.execution.threads =
@@ -441,12 +440,6 @@ parseScenario(std::string_view text)
                     badEntry(entry, "progress is on/off, got \"" +
                                         entry.value + "\"");
                 spec.execution.progress = *value;
-            } else if (entry.key == "reuse_systems") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "reuse_systems is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.execution.reuse_systems = *value;
             }
         }
     }
@@ -584,8 +577,6 @@ serializeScenario(const ScenarioSpec &spec)
         add(execution, "summary", exec.summary);
     if (!exec.progress)
         add(execution, "progress", "off");
-    if (!exec.reuse_systems)
-        add(execution, "reuse_systems", "off");
     if (!execution.entries.empty())
         doc.sections.push_back(std::move(execution));
 

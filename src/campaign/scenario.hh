@@ -38,7 +38,6 @@
  *     shard = 1/4
  *     checkpoint = fig9.ckpt
  *     executor = simulate          # simulate | model
- *     reuse_systems = on           # pool simulation contexts per worker
  *     csv = fig9.csv
  *
  *     [observability]              # optional; all planes off by default
@@ -111,10 +110,6 @@ struct ScenarioExecution
     std::string csv, jsonl, summary;
     /** Progress/ETA reporting on stderr. */
     bool progress = true;
-    /** Reuse pooled simulation contexts across a worker's cells
-     * (RunnerOptions::reuse_systems); results are bit-identical either
-     * way. */
-    bool reuse_systems = true;
 };
 
 /** The [observability] section: per-run in-sim recording plus campaign

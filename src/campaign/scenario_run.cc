@@ -214,7 +214,6 @@ runScenario(const ScenarioSpec &scenario,
     RunnerOptions runner_options;
     runner_options.threads = exec.threads;
     runner_options.shard = exec.shard;
-    runner_options.reuse_systems = exec.reuse_systems;
     if (!options.quiet && exec.progress)
         runner_options.progress = &progress;
     runner_options.execute = scenarioExecutor(effective);

@@ -21,11 +21,13 @@ struct RatioMean
     double log_lat = 0.0;
     std::size_t n = 0;
 
-    void add(double bw_ratio, double lat_ratio)
+    /** Add @p weight samples of the same ratio pair. */
+    void add(double bw_ratio, double lat_ratio, std::size_t weight = 1)
     {
-        log_bw += std::log(bw_ratio);
-        log_lat += std::log(lat_ratio);
-        ++n;
+        const auto w = static_cast<double>(weight);
+        log_bw += w * std::log(bw_ratio);
+        log_lat += w * std::log(lat_ratio);
+        n += weight;
     }
 
     CalibrationFactors factors() const
@@ -170,24 +172,28 @@ Calibration::load(std::istream &is)
         if (!fields || fields->size() != 5)
             sim::fatal("Calibration::load: malformed row \"" + line +
                        "\"");
-        CalibrationFactors f;
-        try {
-            f.bandwidth_scale = std::stod((*fields)[2]);
-            f.latency_scale = std::stod((*fields)[3]);
-            f.samples = static_cast<std::size_t>(
-                std::stoull((*fields)[4]));
-        } catch (const std::exception &) {
+        // Scales are finite positive ratios (their log is averaged)
+        // and every saved row stands for at least one anchor cell.
+        const auto bw = campaign::parseCsvNumber<double>((*fields)[2]);
+        const auto lat = campaign::parseCsvNumber<double>((*fields)[3]);
+        const auto samples =
+            campaign::parseCsvNumber<std::size_t>((*fields)[4]);
+        const auto positive = [](const std::optional<double> &v) {
+            return v && std::isfinite(*v) && *v > 0.0;
+        };
+        if (!positive(bw) || !positive(lat) || !samples || *samples < 1)
             sim::fatal("Calibration::load: bad numbers in row \"" +
                        line + "\"");
-        }
+        CalibrationFactors f;
+        f.bandwidth_scale = *bw;
+        f.latency_scale = *lat;
+        f.samples = *samples;
         calibration._cells[cellKey((*fields)[0], (*fields)[1])] = f;
         // Rebuild the fallback tiers from the per-cell rows so a
         // loaded calibration generalises exactly like a fitted one.
-        for (std::size_t i = 0; i < f.samples; ++i) {
-            configs[(*fields)[0]].add(f.bandwidth_scale,
-                                      f.latency_scale);
-            global.add(f.bandwidth_scale, f.latency_scale);
-        }
+        configs[(*fields)[0]].add(f.bandwidth_scale, f.latency_scale,
+                                  f.samples);
+        global.add(f.bandwidth_scale, f.latency_scale, f.samples);
     }
     for (const auto &[key, mean] : configs)
         calibration._configs[key] = mean.factors();

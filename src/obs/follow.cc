@@ -54,11 +54,16 @@ jsonNumber(std::string_view line, std::string_view key)
     return value;
 }
 
+/** A count field; 0 (as if absent) unless it is a positive number
+ * below 2^64, so the cast never sees an unrepresentable value. */
 std::uint64_t
 jsonCount(std::string_view line, std::string_view key)
 {
+    constexpr double kTwoTo64 = 18446744073709551616.0;
     const auto value = jsonNumber(line, key);
-    return value && *value > 0 ? static_cast<std::uint64_t>(*value) : 0;
+    return value && *value > 0 && *value < kTwoTo64
+               ? static_cast<std::uint64_t>(*value)
+               : 0;
 }
 
 std::optional<bool>

@@ -93,6 +93,15 @@ TEST(HeartbeatFollower, CountsGarbageAndUnknownEventsAsMalformed)
     EXPECT_EQ(follower.state().lines, 4u);
     EXPECT_EQ(follower.state().malformed, 3u);
     EXPECT_EQ(follower.state().cells_ok, 1u);
+
+    // Counts no uint64 can hold read as absent (0), like a missing key.
+    follower.feed("{\"event\":\"campaign_begin\",\"runs\":1e30,"
+                  "\"pending\":3}\n");
+    EXPECT_EQ(follower.state().runs, 0u);
+    EXPECT_EQ(follower.state().pending, 3u);
+    follower.feed("{\"event\":\"campaign_begin\",\"runs\":inf}\n");
+    EXPECT_EQ(follower.state().runs, 0u);
+    EXPECT_EQ(follower.state().malformed, 3u);
 }
 
 TEST(HeartbeatFollower, TracksTheLauncherLifecycle)

@@ -227,17 +227,28 @@ struct SinkBytes
     std::string jsonl;
 };
 
+/** Runner options for a pooled grid, or for the fresh-system reference
+ * (campaign::executePlan builds a new system and workload per cell). */
+campaign::RunnerOptions
+gridOptions(bool pooled, std::size_t threads)
+{
+    campaign::RunnerOptions options;
+    options.threads = threads;
+    if (!pooled)
+        options.execute = [](const campaign::RunPlan &plan) {
+            return campaign::executePlan(plan);
+        };
+    return options;
+}
+
 SinkBytes
-runGrid(const campaign::CampaignSpec &spec, bool reuse_systems,
+runGrid(const campaign::CampaignSpec &spec, bool pooled,
         std::size_t threads)
 {
     std::ostringstream csv, jsonl;
     campaign::CsvSink csv_sink(csv);
     campaign::JsonLinesSink jsonl_sink(jsonl);
-    campaign::RunnerOptions options;
-    options.threads = threads;
-    options.reuse_systems = reuse_systems;
-    campaign::CampaignRunner runner(options);
+    campaign::CampaignRunner runner(gridOptions(pooled, threads));
     runner.addSink(csv_sink);
     runner.addSink(jsonl_sink);
     runner.run(spec);
@@ -261,16 +272,13 @@ TEST(FrontEndParity, SinkBytesMatchMissStreamPooledAndFreshAt1And4Workers)
 }
 
 std::string
-runGridToCheckpoint(const campaign::CampaignSpec &spec, bool reuse_systems,
+runGridToCheckpoint(const campaign::CampaignSpec &spec, bool pooled,
                     const std::string &path)
 {
     std::remove(path.c_str());
     {
         campaign::CheckpointFile checkpoint(path, spec);
-        campaign::RunnerOptions options;
-        options.threads = 2;
-        options.reuse_systems = reuse_systems;
-        campaign::CampaignRunner runner(options);
+        campaign::CampaignRunner runner(gridOptions(pooled, 2));
         runner.addSink(checkpoint.sink());
         runner.run(spec);
         checkpoint.checkWritten();

@@ -313,6 +313,34 @@ TEST(Calibration, FitApplyAndPersistRoundTrip)
                 0.8, 1e-9);
 }
 
+TEST(Calibration, LoadRejectsBadNumbers)
+{
+    const auto load = [](const std::string &row) {
+        std::istringstream in(
+            "# corona-model-calibration v1\n"
+            "config,workload,bandwidth_scale,latency_scale,samples\n" +
+            row + "\n");
+        return model::Calibration::load(in);
+    };
+    const model::Calibration good = load("XBar/OCM,FFT,0.8,1.5,3");
+    EXPECT_EQ(good.lookup("XBar/OCM", "Radix").samples, 3u);
+    EXPECT_NEAR(good.lookup("HMesh/ECM", "FFT").latency_scale, 1.5,
+                1e-12);
+
+    for (const char *row : {
+             "XBar/OCM,FFT,0.8,1.5,-1",  // Wraps to 2^64-1 via stoull.
+             "XBar/OCM,FFT,0.8,1.5,0",   // No anchor behind the row.
+             "XBar/OCM,FFT,0.8,1.5,1.5", // Trailing bytes.
+             "XBar/OCM,FFT,1.5x,1.5,1",  // Trailing bytes.
+             "XBar/OCM,FFT,0,1.5,1",     // log(0) = -inf.
+             "XBar/OCM,FFT,0.8,-2,1",    // log(<0) = NaN.
+             "XBar/OCM,FFT,nan,1.5,1",
+             "XBar/OCM,FFT,0.8,inf,1",
+             "XBar/OCM,FFT,,1.5,1",
+         })
+        EXPECT_THROW(load(row), sim::FatalError) << row;
+}
+
 // ----------------------------------------- campaign executor hook
 
 TEST(ModelExecutor, RunsCampaignGridsThroughTheModel)

@@ -561,7 +561,6 @@ TEST(WorkloadCache, LeasedWorkloadsResetToPristineSequences)
         campaign::CsvSink sink(pooled_csv);
         campaign::RunnerOptions options;
         options.threads = 1;
-        options.reuse_systems = true;
         campaign::CampaignRunner runner(options);
         runner.addSink(sink);
         runner.run(spec);
@@ -570,7 +569,9 @@ TEST(WorkloadCache, LeasedWorkloadsResetToPristineSequences)
         campaign::CsvSink sink(fresh_csv);
         campaign::RunnerOptions options;
         options.threads = 1;
-        options.reuse_systems = false;
+        options.execute = [](const campaign::RunPlan &plan) {
+            return campaign::executePlan(plan);
+        };
         campaign::CampaignRunner runner(options);
         runner.addSink(sink);
         runner.run(spec);

@@ -182,8 +182,7 @@ const char *const kFullScenario =
     "threads = 2\n"
     "checkpoint = /tmp/full.ckpt\n"
     "csv = /tmp/full.csv\n"
-    "progress = off\n"
-    "reuse_systems = off\n";
+    "progress = off\n";
 
 TEST(Scenario, ParseSerializeParseIsByteStable)
 {
@@ -202,17 +201,6 @@ TEST(Scenario, ParseSerializeParseIsByteStable)
     EXPECT_EQ(reparsed.execution.checkpoint, "/tmp/full.ckpt");
     EXPECT_EQ(reparsed.execution.csv, "/tmp/full.csv");
     EXPECT_FALSE(reparsed.execution.progress);
-    EXPECT_FALSE(reparsed.execution.reuse_systems);
-}
-
-TEST(Scenario, ReuseSystemsDefaultsOnAndIsOmittedFromSerialisation)
-{
-    campaign::ScenarioSpec spec;
-    spec.workloads = {"Uniform"};
-    spec.configs = {"XBar/OCM"};
-    EXPECT_TRUE(spec.execution.reuse_systems);
-    EXPECT_EQ(campaign::serializeScenario(spec).find("reuse_systems"),
-              std::string::npos);
 }
 
 TEST(Scenario, SerializationOmitsDefaults)
@@ -276,10 +264,6 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
     EXPECT_THROW(campaign::parseScenario(
                      withLine("progress =", "progress = maybe")),
                  sim::FatalError);
-    EXPECT_THROW(
-        campaign::parseScenario(withLine("reuse_systems =",
-                                         "reuse_systems = maybe")),
-        sim::FatalError);
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "shard = 5/2")),
                  sim::FatalError);

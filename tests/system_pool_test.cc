@@ -209,16 +209,27 @@ struct SinkBytes
     std::string jsonl;
 };
 
+/** Runner options for a pooled grid, or for the fresh-system reference
+ * (campaign::executePlan builds a new system and workload per cell). */
+campaign::RunnerOptions
+gridOptions(bool pooled, std::size_t threads)
+{
+    campaign::RunnerOptions options;
+    options.threads = threads;
+    if (!pooled)
+        options.execute = [](const campaign::RunPlan &plan) {
+            return campaign::executePlan(plan);
+        };
+    return options;
+}
+
 SinkBytes
-runGrid(bool reuse_systems, std::size_t threads)
+runGrid(bool pooled, std::size_t threads)
 {
     std::ostringstream csv, jsonl;
     campaign::CsvSink csv_sink(csv);
     campaign::JsonLinesSink jsonl_sink(jsonl);
-    campaign::RunnerOptions options;
-    options.threads = threads;
-    options.reuse_systems = reuse_systems;
-    campaign::CampaignRunner runner(options);
+    campaign::CampaignRunner runner(gridOptions(pooled, threads));
     runner.addSink(csv_sink);
     runner.addSink(jsonl_sink);
     runner.run(gridSpec());
@@ -238,16 +249,13 @@ TEST(SystemPoolParity, SinkBytesMatchPoolingOnAndOffAcrossThreadCounts)
 }
 
 std::string
-runGridToCheckpoint(bool reuse_systems, const std::string &path)
+runGridToCheckpoint(bool pooled, const std::string &path)
 {
     const auto spec = gridSpec();
     std::remove(path.c_str());
     {
         campaign::CheckpointFile checkpoint(path, spec);
-        campaign::RunnerOptions options;
-        options.threads = 2;
-        options.reuse_systems = reuse_systems;
-        campaign::CampaignRunner runner(options);
+        campaign::CampaignRunner runner(gridOptions(pooled, 2));
         runner.addSink(checkpoint.sink());
         runner.run(spec);
         checkpoint.checkWritten();

@@ -14,8 +14,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign/checkpoint.hh"
+#include "campaign/runner.hh"
 #include "campaign/scenario.hh"
 #include "campaign/scenario_run.hh"
+#include "campaign/sink.hh"
 #include "corona/knobs.hh"
 #include "corona/simulation.hh"
 #include "trace/capture.hh"
@@ -70,6 +73,34 @@ run(const campaign::ScenarioSpec &scenario)
 {
     return campaign::runScenario(
         scenario, {.quiet = true, .env = campaign::EnvOverrides::None});
+}
+
+/** Run @p scenario's grid on fresh systems (campaign::executePlan per
+ * cell, no pooling) into the csv, jsonl and checkpoint paths
+ * runScenario would write: the reference the pooled runner must
+ * match. */
+void
+runFresh(const campaign::ScenarioSpec &scenario)
+{
+    const campaign::ScenarioExecution &exec = scenario.execution;
+    const campaign::CampaignSpec spec = scenario.resolve();
+    std::filesystem::remove(exec.checkpoint); // Execute, never resume.
+    std::ofstream csv(exec.csv, std::ios::trunc);
+    std::ofstream jsonl(exec.jsonl, std::ios::trunc);
+    campaign::CsvSink csv_sink(csv);
+    campaign::JsonLinesSink jsonl_sink(jsonl);
+    campaign::CheckpointFile checkpoint(exec.checkpoint, spec);
+    campaign::RunnerOptions options;
+    options.threads = exec.threads;
+    options.execute = [](const campaign::RunPlan &plan) {
+        return campaign::executePlan(plan);
+    };
+    campaign::CampaignRunner runner(options);
+    runner.addSink(csv_sink);
+    runner.addSink(jsonl_sink);
+    runner.addSink(checkpoint.sink());
+    runner.run(spec);
+    checkpoint.checkWritten();
 }
 
 /** Capture the one cell the generator scenario runs: same config,
@@ -127,8 +158,7 @@ TEST(TraceParity, ReplayReproducesGeneratorSinkAndCheckpointBytes)
     // The same replay with fresh systems per run...
     campaign::ScenarioSpec fresh = baseScenario(dir, "rep_fresh");
     fresh.workloads = replay.workloads;
-    fresh.execution.reuse_systems = false;
-    run(fresh);
+    runFresh(fresh);
     expectSinkBytesEqual(generator, fresh, "fresh systems");
 
     // ...and with four worker threads.
@@ -148,7 +178,7 @@ TEST(TraceParity, ReplayGridIsDeterministicAcrossWorkersAndPooling)
     // twin — cross-thread interleavings differ per cell — but must be
     // self-deterministic at any worker count, pooled or fresh.
     const auto grid = [&](const std::string &tag, std::size_t threads,
-                          bool reuse) {
+                          bool pooled) {
         campaign::ScenarioSpec scenario = baseScenario(dir, tag);
         scenario.name = "trace-grid";
         scenario.workloads = {"trace:" + trace_path +
@@ -156,8 +186,10 @@ TEST(TraceParity, ReplayGridIsDeterministicAcrossWorkersAndPooling)
         scenario.configs = {"XBar/OCM", "HMesh/OCM"};
         scenario.overrides = {"base", "warm warmup_requests=100"};
         scenario.execution.threads = threads;
-        scenario.execution.reuse_systems = reuse;
-        run(scenario);
+        if (pooled)
+            run(scenario);
+        else
+            runFresh(scenario);
         return scenario;
     };
     const auto serial = grid("grid_serial", 1, true);
